@@ -32,6 +32,7 @@ use speedllm_fpga_sim::resources::{
 use speedllm_fpga_sim::sfu::{Sfu, SfuKind};
 use speedllm_fpga_sim::stats::SimStats;
 use speedllm_fpga_sim::trace::TraceBuffer;
+use speedllm_llama::forward::Logits;
 use speedllm_llama::kv_cache::KvCache;
 use speedllm_llama::ops;
 use speedllm_llama::quant::{QuantKind, QuantMatrix};
@@ -206,7 +207,7 @@ pub enum SeqKv {
 /// Per-sequence functional state: the KV storage and the SSA value store.
 /// One [`Engine`] owns a default sequence (used by [`Engine::decode_step`]);
 /// additional sequences can be created for batched serving via
-/// [`Engine::new_sequence`] + [`Engine::decode_batch`].
+/// [`Engine::new_sequence`] + [`Engine::forward_runs`].
 pub struct SequenceState {
     kv: SeqKv,
     values: Vec<Option<Vec<f32>>>,
@@ -916,18 +917,20 @@ impl Engine {
         }
     }
 
-    /// Runs one decode step for `token` at `pos`.
+    /// Runs one decode step for `token` at `pos` on the engine's default
+    /// sequence.
     pub fn decode_step(&mut self, token: u32, pos: usize) -> StepResult {
-        self.run_chunk(&[token], pos)
+        self.pass(None, &[&[token]], &[pos], Logits::LastRow).1
     }
 
     /// Processes a chunk of consecutive prompt tokens starting at
-    /// `start_pos` in one device pass (chunked prefill — an extension
-    /// beyond the paper; see DESIGN.md). Weight streams are amortized over
-    /// the chunk, so prefill cost grows sub-linearly in chunk length.
-    /// Returns the logits after the **last** token of the chunk.
+    /// `start_pos` on the engine's default sequence, in one device pass
+    /// (chunked prefill — an extension beyond the paper; see DESIGN.md).
+    /// Weight streams are amortized over the chunk, so prefill cost grows
+    /// sub-linearly in chunk length. Returns the logits after the **last**
+    /// token of the chunk.
     pub fn prefill_chunk(&mut self, tokens: &[u32], start_pos: usize) -> StepResult {
-        self.run_chunk(tokens, start_pos)
+        self.pass(None, &[tokens], &[start_pos], Logits::LastRow).1
     }
 
     /// Schedules every kernel for a pass over `positions` (a contiguous
@@ -1102,113 +1105,58 @@ impl Engine {
         }
     }
 
-    /// Decodes one token for each of several **independent sequences** in a
-    /// single device pass (batched serving — an extension beyond the
-    /// paper). Weight streams are shared across the batch exactly as in
-    /// chunked prefill; each sequence attends to its own context. Returns
-    /// one logit vector per sequence, in order.
+    /// One run-based device pass over several independent sequences,
+    /// each contributing a *run* of one or more consecutive tokens at its
+    /// current context length: a decode step is a run of length 1, a
+    /// prefill chunk a run of its chunk length, a speculative verify a
+    /// pending token plus K drafts (Sarathi-style unified batching — see
+    /// DESIGN.md §14). One `timing_pass` covers every row of
+    /// every run, so the dense weights are streamed once for the whole
+    /// pass. The functional pass stays token-sequential per sequence, so
+    /// each row's logits are bit-identical to decoding that prefix one
+    /// token at a time.
+    ///
+    /// Entry `i` of the returned logits is `runs[i]`'s last-row vector
+    /// under [`Logits::LastRow`], or row-major `[runs[i].len() * vocab]`
+    /// under [`Logits::AllRows`]. [`StepResult::logits`] holds the last
+    /// row of the last run.
     ///
     /// # Panics
-    /// Panics on an empty batch, a batch larger than the staging limit
-    /// (64), mismatched lengths, or any sequence at its context limit.
-    pub fn decode_batch(
-        &mut self,
-        seqs: &mut [&mut SequenceState],
-        tokens: &[u32],
-    ) -> (Vec<Vec<f32>>, StepResult) {
-        let c = self.graph.config;
-        assert!(!seqs.is_empty(), "empty batch");
-        assert_eq!(seqs.len(), tokens.len(), "one token per sequence");
-        assert!(
-            seqs.len() <= 64,
-            "batch of {} exceeds the staging limit (64)",
-            seqs.len()
-        );
-        let positions: Vec<usize> = seqs.iter().map(|s| s.context_len()).collect();
-        for (&pos, &tok) in positions.iter().zip(tokens) {
-            assert!(pos < c.seq_len, "sequence at context limit {pos}");
-            assert!((tok as usize) < c.vocab_size, "token {tok} out of vocab");
-        }
-        let before = self.counters_snapshot();
-
-        // Functional pass, sequence by sequence.
-        let mut all_logits = Vec::with_capacity(seqs.len());
-        for (i, seq) in seqs.iter_mut().enumerate() {
-            for v in &mut seq.values {
-                *v = None;
-            }
-            for oi in 0..self.graph.ops.len() {
-                Self::exec_op(
-                    &self.graph,
-                    &self.weights,
-                    &mut self.quant,
-                    &self.cfg,
-                    &self.opt,
-                    seq,
-                    self.paged.as_mut(),
-                    oi,
-                    tokens[i],
-                    positions[i],
-                );
-            }
-            all_logits.push(seq.value(self.graph.output()).to_vec());
-        }
-
-        // Timing pass over the whole batch (weights streamed once).
-        let (cycles, ocm_read, ocm_write) = self.timing_pass(&positions);
-        let stats = self.step_stats(&before, cycles, ocm_read, ocm_write);
-        if tel::enabled() {
-            // Same batched-GEMM accounting as the CPU path (`cpu.gemm_*`):
-            // one device pass streams the dense weights once for the whole
-            // batch, so bytes-per-token falls with the batch width.
-            tel::metrics::counter_add("accel.gemm_weight_bytes", self.gemm_stream_bytes());
-            tel::metrics::counter_add("accel.gemm_tokens", seqs.len() as u64);
-            tel::metrics::gauge_set("accel.gemm_batch_width", seqs.len() as f64);
-        }
-        let logits = all_logits.last().cloned().unwrap_or_default();
-        (
-            all_logits,
-            StepResult {
-                logits,
-                cycles,
-                stats,
-            },
-        )
-    }
-
-    /// One **mixed** device pass over several independent sequences, each
-    /// contributing a *run* of one or more consecutive tokens: a decode
-    /// step is a run of length 1, a prefill chunk a run of its chunk
-    /// length (Sarathi-style unified batching — see DESIGN.md §14).
-    /// Weight streams are shared across every row of every run in the
-    /// timing model, exactly as in [`Engine::decode_batch`]; the
-    /// functional pass stays token-sequential per sequence, so logits are
-    /// bit-identical to running each run through
-    /// [`Engine::prefill_chunk_seq`] / [`Engine::decode_batch`] alone.
-    /// Returns the logits after the **last** token of each run, in order.
-    ///
-    /// # Panics
-    /// Panics on an empty batch, an empty run, total rows above the
-    /// staging limit (64), a run that does not extend its sequence
-    /// contiguously, positions outside the context window, or tokens out
-    /// of vocabulary.
-    pub fn forward_mixed(
+    /// Panics on an empty batch, mismatched lengths, an empty run, total
+    /// rows above the staging limit (64), positions outside the context
+    /// window, or tokens out of vocabulary.
+    pub fn forward_runs(
         &mut self,
         seqs: &mut [&mut SequenceState],
         runs: &[&[u32]],
+        logits: Logits,
+    ) -> (Vec<Vec<f32>>, StepResult) {
+        assert_eq!(seqs.len(), runs.len(), "one token run per sequence");
+        let starts: Vec<usize> = seqs.iter().map(|s| s.context_len()).collect();
+        self.pass(Some(seqs), runs, &starts, logits)
+    }
+
+    /// The one device pass behind every entry point: validate → functional
+    /// pass → one [`Engine::timing_pass`] over every row → per-pass stats.
+    /// `seqs = None` runs the single run on the engine's default sequence
+    /// at the caller's explicit start position.
+    fn pass(
+        &mut self,
+        seqs: Option<&mut [&mut SequenceState]>,
+        runs: &[&[u32]],
+        starts: &[usize],
+        logits: Logits,
     ) -> (Vec<Vec<f32>>, StepResult) {
         let c = self.graph.config;
-        assert!(!seqs.is_empty(), "empty batch");
-        assert_eq!(seqs.len(), runs.len(), "one token run per sequence");
+        assert!(!runs.is_empty(), "empty batch");
         let rows: usize = runs.iter().map(|r| r.len()).sum();
         assert!(
             rows <= 64,
-            "mixed batch of {rows} rows exceeds the staging limit (64)"
+            "pass of {rows} rows exceeds the on-chip staging limit (64)"
         );
         let mut positions = Vec::with_capacity(rows);
-        for (seq, run) in seqs.iter().zip(runs) {
-            assert!(!run.is_empty(), "empty run");
-            let start = seq.context_len();
+        for (i, (run, &start)) in runs.iter().zip(starts).enumerate() {
+            assert!(!run.is_empty(), "empty chunk in run {i}");
             let last = start + run.len() - 1;
             assert!(
                 last < c.seq_len,
@@ -1222,12 +1170,8 @@ impl Engine {
         }
         let before = self.counters_snapshot();
 
-        // Functional pass, sequence by sequence, token-sequential inside
-        // each run (causally exact through KvAppend program order).
-        let mut all_logits = Vec::with_capacity(seqs.len());
-        for (seq, run) in seqs.iter_mut().zip(runs) {
-            let start = seq.context_len();
-            all_logits.push(Self::exec_chunk(
+        let mut exec = |seq: &mut SequenceState, run: &[u32], start: usize| {
+            Self::exec_run(
                 &self.graph,
                 &self.weights,
                 &mut self.quant,
@@ -1237,19 +1181,31 @@ impl Engine {
                 self.paged.as_mut(),
                 run,
                 start,
-            ));
-        }
+                logits,
+            )
+        };
+        let all_logits: Vec<Vec<f32>> = match seqs {
+            Some(seqs) => seqs
+                .iter_mut()
+                .zip(runs)
+                .zip(starts)
+                .map(|((seq, run), &start)| exec(seq, run, start))
+                .collect(),
+            None => vec![exec(&mut self.seq, runs[0], starts[0])],
+        };
 
-        // One timing pass over every row of every run: the device streams
-        // the dense weights once for the whole mixed tick.
         let (cycles, ocm_read, ocm_write) = self.timing_pass(&positions);
         let stats = self.step_stats(&before, cycles, ocm_read, ocm_write);
         if tel::enabled() {
+            // Same batched-GEMM accounting as the CPU path (`cpu.gemm_*`):
+            // one device pass streams the dense weights once for every
+            // row, so bytes-per-token falls with the rows carried.
             tel::metrics::counter_add("accel.gemm_weight_bytes", self.gemm_stream_bytes());
             tel::metrics::counter_add("accel.gemm_tokens", rows as u64);
             tel::metrics::gauge_set("accel.gemm_batch_width", rows as f64);
         }
-        let logits = all_logits.last().cloned().unwrap_or_default();
+        let last = all_logits.last().expect("non-empty batch");
+        let logits = last[last.len() - c.vocab_size..].to_vec();
         (
             all_logits,
             StepResult {
@@ -1260,135 +1216,12 @@ impl Engine {
         )
     }
 
-    /// The speculative **verification** pass: like
-    /// [`Engine::forward_mixed`], one device pass carries every run row,
-    /// but the logits of **every** token are collected — sequence `i`'s
-    /// entry is row-major `[runs[i].len() * vocab]`. One verify pass over
-    /// a pending token plus K draft proposals streams the dense weights
-    /// once where K+1 sequential decode steps would stream them K+1
-    /// times; the single [`Engine::timing_pass`] over all rows is what
-    /// models that ~K× weight-traffic cut per accepted run.
-    ///
-    /// Functionally token-sequential per sequence, so each row's logits
-    /// are bit-identical to decoding that prefix through
-    /// [`Engine::decode_batch`] — the property the speculative
-    /// equivalence suite pins.
-    ///
-    /// # Panics
-    /// Same conditions as [`Engine::forward_mixed`].
-    pub fn verify_batch(
-        &mut self,
-        seqs: &mut [&mut SequenceState],
-        runs: &[&[u32]],
-    ) -> (Vec<Vec<f32>>, StepResult) {
-        let c = self.graph.config;
-        assert!(!seqs.is_empty(), "empty batch");
-        assert_eq!(seqs.len(), runs.len(), "one token run per sequence");
-        let rows: usize = runs.iter().map(|r| r.len()).sum();
-        assert!(
-            rows <= 64,
-            "mixed batch of {rows} rows exceeds the staging limit (64)"
-        );
-        let mut positions = Vec::with_capacity(rows);
-        for (seq, run) in seqs.iter().zip(runs) {
-            assert!(!run.is_empty(), "empty run");
-            let start = seq.context_len();
-            let last = start + run.len() - 1;
-            assert!(
-                last < c.seq_len,
-                "pos {last} outside context window {}",
-                c.seq_len
-            );
-            for &t in *run {
-                assert!((t as usize) < c.vocab_size, "token {t} out of vocab");
-            }
-            positions.extend(start..=last);
-        }
-        let before = self.counters_snapshot();
-
-        // Functional pass: token-sequential per sequence (causally exact
-        // through KvAppend program order), keeping every row's logits.
-        let mut all_logits = Vec::with_capacity(seqs.len());
-        for (seq, run) in seqs.iter_mut().zip(runs) {
-            let start = seq.context_len();
-            let mut seq_logits = Vec::with_capacity(run.len() * c.vocab_size);
-            for (i, &tok) in run.iter().enumerate() {
-                for v in &mut seq.values {
-                    *v = None;
-                }
-                for oi in 0..self.graph.ops.len() {
-                    Self::exec_op(
-                        &self.graph,
-                        &self.weights,
-                        &mut self.quant,
-                        &self.cfg,
-                        &self.opt,
-                        seq,
-                        self.paged.as_mut(),
-                        oi,
-                        tok,
-                        start + i,
-                    );
-                }
-                seq_logits.extend_from_slice(seq.value(self.graph.output()));
-            }
-            all_logits.push(seq_logits);
-        }
-
-        // One timing pass over every row: the device streams the dense
-        // weights once for the whole verify tick.
-        let (cycles, ocm_read, ocm_write) = self.timing_pass(&positions);
-        let stats = self.step_stats(&before, cycles, ocm_read, ocm_write);
-        if tel::enabled() {
-            tel::metrics::counter_add("accel.gemm_weight_bytes", self.gemm_stream_bytes());
-            tel::metrics::counter_add("accel.gemm_tokens", rows as u64);
-            tel::metrics::gauge_set("accel.gemm_batch_width", rows as f64);
-        }
-        let logits = all_logits
-            .last()
-            .map(|l| l[l.len() - c.vocab_size..].to_vec())
-            .unwrap_or_default();
-        (
-            all_logits,
-            StepResult {
-                logits,
-                cycles,
-                stats,
-            },
-        )
-    }
-
-    /// Validates a chunk against the staging limit, context window, and
-    /// vocabulary; returns the positions the chunk occupies.
-    fn check_chunk(
-        c: &speedllm_llama::config::ModelConfig,
-        tokens: &[u32],
-        start_pos: usize,
-    ) -> Vec<usize> {
-        assert!(!tokens.is_empty(), "empty chunk");
-        assert!(
-            tokens.len() <= 64,
-            "chunk of {} exceeds the on-chip staging limit (64)",
-            tokens.len()
-        );
-        let last_pos = start_pos + tokens.len() - 1;
-        assert!(
-            last_pos < c.seq_len,
-            "pos {last_pos} outside context window {}",
-            c.seq_len
-        );
-        for &t in tokens {
-            assert!((t as usize) < c.vocab_size, "token {t} out of vocab");
-        }
-        (start_pos..=last_pos).collect()
-    }
-
-    /// Functional pass over a chunk: token-sequential, op order (causally
-    /// exact; within a chunk later tokens attend to earlier ones through
+    /// Functional pass over one run: token-sequential, op order (causally
+    /// exact; within a run later tokens attend to earlier ones through
     /// the KV cache, which KvAppend updates in program order). Returns the
-    /// logits after the last token.
+    /// last row's logits, or every row's under [`Logits::AllRows`].
     #[allow(clippy::too_many_arguments)]
-    fn exec_chunk(
+    fn exec_run(
         graph: &Graph,
         weights: &TransformerWeights,
         quant: &mut HashMap<WeightRef, QuantMatrix>,
@@ -1398,7 +1231,9 @@ impl Engine {
         mut arena: Option<&mut PagedKvArena>,
         tokens: &[u32],
         start_pos: usize,
+        logits: Logits,
     ) -> Vec<f32> {
+        let mut out = Vec::new();
         for (i, &tok) in tokens.iter().enumerate() {
             for v in &mut seq.values {
                 *v = None;
@@ -1417,76 +1252,11 @@ impl Engine {
                     start_pos + i,
                 );
             }
+            if logits == Logits::AllRows || i + 1 == tokens.len() {
+                out.extend_from_slice(seq.value(graph.output()));
+            }
         }
-        seq.value(graph.output()).to_vec()
-    }
-
-    /// [`Engine::prefill_chunk`] against an **external** sequence — the
-    /// batched-serving entry point. A scheduler that owns a pool of
-    /// [`SequenceState`]s prefills each newly admitted request through
-    /// here, then interleaves them with [`Engine::decode_batch`]. The
-    /// functional pass is identical to the default-sequence path, so the
-    /// logits (and any tokens sampled from them) match a single-tenant run
-    /// exactly.
-    ///
-    /// # Panics
-    /// Same conditions as [`Engine::prefill_chunk`], plus a sequence whose
-    /// context length does not equal `start_pos` (the chunk must extend the
-    /// sequence contiguously).
-    pub fn prefill_chunk_seq(
-        &mut self,
-        seq: &mut SequenceState,
-        tokens: &[u32],
-        start_pos: usize,
-    ) -> StepResult {
-        assert_eq!(
-            seq.context_len(),
-            start_pos,
-            "chunk must extend the sequence contiguously"
-        );
-        let positions = Self::check_chunk(&self.graph.config, tokens, start_pos);
-        let before = self.counters_snapshot();
-        let logits = Self::exec_chunk(
-            &self.graph,
-            &self.weights,
-            &mut self.quant,
-            &self.cfg,
-            &self.opt,
-            seq,
-            self.paged.as_mut(),
-            tokens,
-            start_pos,
-        );
-        let (cycles, ocm_read, ocm_write) = self.timing_pass(&positions);
-        let stats = self.step_stats(&before, cycles, ocm_read, ocm_write);
-        StepResult {
-            logits,
-            cycles,
-            stats,
-        }
-    }
-
-    fn run_chunk(&mut self, tokens: &[u32], start_pos: usize) -> StepResult {
-        let positions = Self::check_chunk(&self.graph.config, tokens, start_pos);
-        let before = self.counters_snapshot();
-        let logits = Self::exec_chunk(
-            &self.graph,
-            &self.weights,
-            &mut self.quant,
-            &self.cfg,
-            &self.opt,
-            &mut self.seq,
-            self.paged.as_mut(),
-            tokens,
-            start_pos,
-        );
-        let (cycles, ocm_read, ocm_write) = self.timing_pass(&positions);
-        let stats = self.step_stats(&before, cycles, ocm_read, ocm_write);
-        StepResult {
-            logits,
-            cycles,
-            stats,
-        }
+        out
     }
 }
 
@@ -1764,7 +1534,7 @@ mod tests {
     }
 
     #[test]
-    fn decode_batch_matches_independent_sequences() {
+    fn batched_decode_matches_independent_sequences() {
         let weights = Arc::new(TransformerWeights::synthetic(ModelConfig::test_tiny(), 42));
         // Reference: three independent engines decoding different histories.
         let mut refs: Vec<Engine> = (0..3)
@@ -1796,7 +1566,7 @@ mod tests {
             for (seq, h) in seqs.iter_mut() {
                 for (pos, &t) in h[..h.len() - 1].iter().enumerate() {
                     let mut solo = [&mut **seq];
-                    batch_engine.decode_batch(&mut solo, &[t]);
+                    batch_engine.forward_runs(&mut solo, &[&[t]], Logits::LastRow);
                     let _ = pos;
                 }
             }
@@ -1804,7 +1574,8 @@ mod tests {
         // Final tokens together, as one batch.
         let finals = [histories[0][1], histories[1][0], histories[2][2]];
         let mut seqs = [&mut s0, &mut s1, &mut s2];
-        let (logits, step) = batch_engine.decode_batch(&mut seqs, &finals);
+        let runs: Vec<&[u32]> = finals.iter().map(std::slice::from_ref).collect();
+        let (logits, step) = batch_engine.forward_runs(&mut seqs, &runs, Logits::LastRow);
         assert_eq!(logits.len(), 3);
         for (want, got) in expected.iter().zip(&logits) {
             let d = want
@@ -1817,14 +1588,15 @@ mod tests {
     }
 
     #[test]
-    fn decode_batch_amortizes_weight_reads() {
+    fn batched_decode_amortizes_weight_reads() {
         let weights = Arc::new(TransformerWeights::synthetic(ModelConfig::stories260k(), 7));
         let mut e = Engine::new(weights, OptConfig::full()).unwrap();
         // Eight fresh sequences, one decode each — batched.
         let mut seqs: Vec<SequenceState> = (0..8).map(|_| e.new_sequence()).collect();
         let mut refs: Vec<&mut SequenceState> = seqs.iter_mut().collect();
         let tokens = [1u32, 2, 3, 4, 5, 6, 7, 8];
-        let (_, batched) = e.decode_batch(&mut refs, &tokens);
+        let runs: Vec<&[u32]> = tokens.iter().map(std::slice::from_ref).collect();
+        let (_, batched) = e.forward_runs(&mut refs, &runs, Logits::LastRow);
 
         // Same eight decodes, one at a time.
         let mut single_cycles = 0u64;
@@ -1832,7 +1604,7 @@ mod tests {
         for &t in &tokens {
             let mut seq = e.new_sequence();
             let mut solo = [&mut seq];
-            let (_, r) = e.decode_batch(&mut solo, &[t]);
+            let (_, r) = e.forward_runs(&mut solo, &[&[t]], Logits::LastRow);
             single_cycles += r.cycles.0;
             single_reads += r.stats.hbm.read_bytes;
         }
@@ -1896,14 +1668,16 @@ mod tests {
     }
 
     #[test]
-    fn prefill_chunk_seq_matches_default_sequence() {
+    fn external_sequence_prefill_matches_default_sequence() {
         let weights = Arc::new(TransformerWeights::synthetic(ModelConfig::test_tiny(), 42));
         let tokens: Vec<u32> = vec![3, 9, 14, 27, 5];
         let mut a = Engine::new(Arc::clone(&weights), OptConfig::full()).unwrap();
         let ra = a.prefill_chunk(&tokens, 0);
         let mut b = Engine::new(weights, OptConfig::full()).unwrap();
         let mut seq = b.new_sequence();
-        let rb = b.prefill_chunk_seq(&mut seq, &tokens, 0);
+        let rb = b
+            .forward_runs(&mut [&mut seq], &[&tokens], Logits::LastRow)
+            .1;
         assert_eq!(ra.logits, rb.logits, "external-sequence prefill diverged");
         assert_eq!(
             ra.cycles, rb.cycles,
@@ -1915,30 +1689,22 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "contiguously")]
-    fn prefill_chunk_seq_rejects_position_gap() {
-        let weights = Arc::new(TransformerWeights::synthetic(ModelConfig::test_tiny(), 42));
-        let mut e = Engine::new(weights, OptConfig::full()).unwrap();
-        let mut seq = e.new_sequence();
-        e.prefill_chunk_seq(&mut seq, &[1, 2], 3);
-    }
-
-    #[test]
     fn sequence_state_works_as_pool_slot() {
         use speedllm_llama::kv_cache::{KvCachePool, PoolSlot};
         let weights = Arc::new(TransformerWeights::synthetic(ModelConfig::test_tiny(), 42));
         let mut e = Engine::new(Arc::clone(&weights), OptConfig::full()).unwrap();
         let mut pool = KvCachePool::new(2, || e.new_sequence());
         let mut slot = pool.acquire().expect("slot free");
-        e.prefill_chunk_seq(slot.state_mut(), &[3, 9], 0);
+        e.forward_runs(&mut [slot.state_mut()], &[&[3, 9]], Logits::LastRow);
         assert_eq!(slot.state().slot_len(), 2);
         pool.release(slot);
         // Reused slot must behave exactly like a fresh sequence.
         let mut again = pool.acquire().expect("slot free");
         assert_eq!(again.state().slot_len(), 0);
-        let r = e.prefill_chunk_seq(again.state_mut(), &[3, 9], 0);
-        let fresh = e.prefill_chunk_seq(&mut e.new_sequence(), &[3, 9], 0);
-        assert_eq!(r.logits, fresh.logits, "recycled slot leaked state");
+        let (r, _) = e.forward_runs(&mut [again.state_mut()], &[&[3, 9]], Logits::LastRow);
+        let mut fresh_seq = e.new_sequence();
+        let (fresh, _) = e.forward_runs(&mut [&mut fresh_seq], &[&[3, 9]], Logits::LastRow);
+        assert_eq!(r, fresh, "recycled slot leaked state");
         pool.release(again);
         assert!(pool.all_free());
         assert_eq!(pool.reuse_count(), 1);
@@ -1954,9 +1720,13 @@ mod tests {
         // Flat reference.
         let mut flat = Engine::new(Arc::clone(&weights), OptConfig::full()).unwrap();
         let mut fseq = flat.new_sequence();
-        let mut flat_logits = vec![flat.prefill_chunk_seq(&mut fseq, &prompt, 0).logits];
+        let mut flat_logits = vec![
+            flat.forward_runs(&mut [&mut fseq], &[&prompt], Logits::LastRow)
+                .1
+                .logits,
+        ];
         for &t in &decode {
-            let (l, _) = flat.decode_batch(&mut [&mut fseq], &[t]);
+            let (l, _) = flat.forward_runs(&mut [&mut fseq], &[&[t]], Logits::LastRow);
             flat_logits.push(l.into_iter().next().unwrap());
         }
 
@@ -1977,9 +1747,14 @@ mod tests {
                 table.push_block(alloc.alloc().unwrap());
             }
         }
-        let mut paged_logits = vec![paged.prefill_chunk_seq(&mut pseq, &prompt, 0).logits];
+        let mut paged_logits = vec![
+            paged
+                .forward_runs(&mut [&mut pseq], &[&prompt], Logits::LastRow)
+                .1
+                .logits,
+        ];
         for &t in &decode {
-            let (l, _) = paged.decode_batch(&mut [&mut pseq], &[t]);
+            let (l, _) = paged.forward_runs(&mut [&mut pseq], &[&[t]], Logits::LastRow);
             paged_logits.push(l.into_iter().next().unwrap());
         }
         assert_eq!(paged_logits, flat_logits, "block indirection changed math");
@@ -1992,7 +1767,10 @@ mod tests {
         let mut full2: Vec<u32> = prompt[..shared_tokens].to_vec();
         full2.extend(&tail);
         let mut f2 = flat.new_sequence();
-        let flat2 = flat.prefill_chunk_seq(&mut f2, &full2, 0).logits;
+        let flat2 = flat
+            .forward_runs(&mut [&mut f2], &[&full2], Logits::LastRow)
+            .1
+            .logits;
 
         let mut p2 = paged.new_sequence();
         {
@@ -2005,19 +1783,20 @@ mod tests {
         }
         assert_eq!(p2.context_len(), shared_tokens);
         let paged2 = paged
-            .prefill_chunk_seq(&mut p2, &full2[shared_tokens..], shared_tokens)
+            .forward_runs(&mut [&mut p2], &[&full2[shared_tokens..]], Logits::LastRow)
+            .1
             .logits;
         assert_eq!(paged2, flat2, "prefix sharing changed math");
     }
 
     #[test]
-    #[should_panic(expected = "one token per sequence")]
-    fn decode_batch_length_mismatch_panics() {
+    #[should_panic(expected = "one token run per sequence")]
+    fn forward_runs_length_mismatch_panics() {
         let weights = Arc::new(TransformerWeights::synthetic(ModelConfig::test_tiny(), 1));
         let mut e = Engine::new(weights, OptConfig::full()).unwrap();
         let mut s0 = e.new_sequence();
         let mut seqs = [&mut s0];
-        e.decode_batch(&mut seqs, &[1, 2]);
+        e.forward_runs(&mut seqs, &[&[1], &[2]], Logits::LastRow);
     }
 
     #[test]

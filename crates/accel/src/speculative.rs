@@ -1,8 +1,9 @@
 //! Speculative-decoding verification on the simulated accelerator: an
-//! [`AccelVerifier`] adapts [`Engine::verify_batch`] to the
-//! [`VerifyTarget`] trait, so the same `llama::speculative::SpecSession`
-//! that drives the CPU reference drives the device sim — and the
-//! equivalence suite can assert both backends emit the identical stream.
+//! [`AccelVerifier`] adapts [`Engine::forward_runs`] with
+//! [`Logits::AllRows`] to the [`VerifyTarget`] trait, so the same
+//! `llama::speculative::SpecSession` that drives the CPU reference drives
+//! the device sim — and the equivalence suite can assert both backends
+//! emit the identical stream.
 //!
 //! Timing: each `verify_into` issues **one** mixed device pass over the
 //! pending token plus the K draft rows, streaming the dense weights once
@@ -11,6 +12,7 @@
 //! accepted tokens per cycle into the speculative speedup.
 
 use speedllm_llama::config::ModelConfig;
+use speedllm_llama::forward::Logits;
 use speedllm_llama::speculative::VerifyTarget;
 use speedllm_pagedkv::BlockAllocator;
 
@@ -90,7 +92,9 @@ impl VerifyTarget for AccelVerifier<'_> {
     fn verify_into(&mut self, tokens: &[u32], start: usize, out: &mut Vec<f32>) {
         debug_assert_eq!(self.seq.context_len(), start, "run must extend context");
         let mut seqs = [&mut *self.seq];
-        let (mut all, step) = self.engine.verify_batch(&mut seqs, &[tokens]);
+        let (mut all, step) = self
+            .engine
+            .forward_runs(&mut seqs, &[tokens], Logits::AllRows);
         self.cycles += step.cycles.0;
         self.passes += 1;
         out.clear();

@@ -11,7 +11,7 @@
 
 use speedllm_bench::harness::{is_smoke, Runner};
 use speedllm_llama::config::ModelConfig;
-use speedllm_llama::forward::Transformer;
+use speedllm_llama::forward::{Logits, Transformer};
 use speedllm_llama::kv_cache::KvCache;
 use speedllm_llama::weights::TransformerWeights;
 use speedllm_llama::QuantMode;
@@ -166,6 +166,7 @@ fn bench_quant_ablation(c: &mut Runner) {
             let mut kvs: Vec<KvCache> = (0..width).map(|_| KvCache::new(&cfg)).collect();
             let tokens: Vec<u32> = (0..width as u32).map(|i| 3 + i).collect();
             let positions = vec![0usize; width];
+            let counts = vec![1usize; width];
             c.set_meta("quant", mode.name());
             c.set_meta("batch_width", &width.to_string());
             c.bench_function(&format!("ablation/quant_{}_w{width}", mode.name()), |b| {
@@ -173,7 +174,13 @@ fn bench_quant_ablation(c: &mut Runner) {
                     let mut refs: Vec<&mut KvCache> = kvs.iter_mut().collect();
                     black_box(
                         model
-                            .forward_batch_with_kv(refs.as_mut_slice(), &tokens, &positions)
+                            .forward_runs_with_kv(
+                                refs.as_mut_slice(),
+                                &tokens,
+                                &counts,
+                                &positions,
+                                Logits::LastRow,
+                            )
                             .len(),
                     )
                 })

@@ -12,6 +12,7 @@ use speedllm_accel::opt::OptConfig;
 use speedllm_bench::Table;
 use speedllm_fpga_sim::cycles::{ClockDomain, Cycles};
 use speedllm_fpga_sim::mpe::Precision;
+use speedllm_llama::forward::Logits;
 use speedllm_llama::weights::TransformerWeights;
 
 fn main() {
@@ -61,8 +62,9 @@ fn main() {
         for batch in [1usize, 4, 16] {
             let mut seqs: Vec<_> = (0..batch).map(|_| engine.new_sequence()).collect();
             let toks: Vec<u32> = (0..batch as u32).map(|i| i + 1).collect();
+            let runs: Vec<&[u32]> = toks.iter().map(std::slice::from_ref).collect();
             let mut refs: Vec<&mut _> = seqs.iter_mut().collect();
-            let (_, r) = engine.decode_batch(&mut refs, &toks);
+            let (_, r) = engine.forward_runs(&mut refs, &runs, Logits::LastRow);
             let secs = clock.to_seconds(r.cycles);
             table.row(vec![
                 name.into(),

@@ -22,6 +22,17 @@ pub enum MatVecStrategy {
     },
 }
 
+/// Which logits rows [`Transformer::forward_runs_with_kv`] classifies and
+/// returns.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Logits {
+    /// Each run's last token only (prefill and decode: intermediate
+    /// prefill logits are never observed), one vector per sequence.
+    LastRow,
+    /// Every token row (speculative verification), row-major.
+    AllRows,
+}
+
 /// Scratch buffers reused across forward calls (llama2.c's `RunState`).
 #[derive(Debug, Clone)]
 struct RunState {
@@ -96,8 +107,8 @@ struct BatchState {
     v: Vec<f32>,
     /// Attention scores for one head of one row, `[seq_len]`.
     att: Vec<f32>,
-    /// Output logits, `[capacity * vocab_size]`, sequence-major (one
-    /// vector per *sequence*, for its last row).
+    /// Output logits, `[capacity * vocab_size]`: one vector per
+    /// classified row (see [`Logits`]).
     logits: Vec<f32>,
     /// Row-major GEMM staging, `[max(dim, hidden_dim, vocab) * capacity]`.
     gemm: Vec<f32>,
@@ -387,28 +398,20 @@ impl Transformer {
     }
 
     /// Runs one decode step against an **external** KV cache instead of the
-    /// transformer's own — the multi-tenant entry point. A server holds one
-    /// `Transformer` (weights + scratch) and a pool of caches, one per
-    /// in-flight sequence; the internal cache is untouched, so single-tenant
-    /// callers are unaffected.
+    /// transformer's own — over any [`KvStore`] implementation, in
+    /// particular a paged block-table view, where the logical position →
+    /// physical row mapping goes through a per-sequence block table
+    /// instead of assuming contiguity. The internal cache is untouched, so
+    /// single-tenant callers are unaffected.
     ///
     /// Bit-identical to [`Transformer::forward`]: both run the same serial
-    /// kernels in the same order, so a sequence decoded through a pooled
-    /// cache reproduces the single-tenant token stream exactly.
+    /// kernels in the same order, so paged and contiguous caches produce
+    /// bit-identical logits. This per-token pass is the reference that
+    /// [`Transformer::forward_runs_with_kv`] is tested against.
     ///
     /// # Panics
     /// Panics if `pos` is outside the context window, `token` is out of
     /// vocabulary, or `kv` was not sized for this model's config.
-    pub fn forward_with_cache(&mut self, kv: &mut KvCache, token: u32, pos: usize) -> &[f32] {
-        self.forward_with_kv(kv, token, pos)
-    }
-
-    /// Like [`Transformer::forward_with_cache`] but over any [`KvStore`]
-    /// implementation — in particular a paged block-table view, where the
-    /// logical position → physical row mapping goes through a per-sequence
-    /// block table instead of assuming contiguity. The kernels and their
-    /// execution order are identical, so paged and contiguous caches
-    /// produce bit-identical logits.
     pub fn forward_with_kv<K: KvStore + ?Sized>(
         &mut self,
         kv: &mut K,
@@ -432,56 +435,27 @@ impl Transformer {
         &self.state.logits
     }
 
-    /// Runs one decode step for a whole **batch** of independent sequences
-    /// in a single walk over the layers: `tokens[i]` extends sequence `i`
-    /// (whose context lives at index `i` of `kv`) at `positions[i]`.
-    /// Returns the logits sequence-major — sequence `i`'s vocabulary
-    /// distribution is `out[i * vocab..(i + 1) * vocab]`.
+    /// The run-based forward pass: one walk over the layers carries a
+    /// variable number of tokens per sequence, so a single
+    /// weight-streaming GEMM tick serves N decode tokens, M prefill-chunk
+    /// tokens and speculative verify rows at once (Sarathi-style unified
+    /// batching, DESIGN.md §14). Every dense projection runs as one
+    /// [`ops::matmul`] over all token rows, so each weight matrix is
+    /// streamed once per call instead of once per token.
     ///
-    /// The point is **weight reuse**: every dense projection runs as one
-    /// [`ops::matmul`] over all B activation columns, so each weight
-    /// matrix is streamed from memory once per step instead of once per
-    /// sequence. Decode is bandwidth-bound, which is why serve throughput
-    /// scales with batch width under this entry point (DESIGN.md §13).
+    /// Sequence `i` (whose context lives at index `i` of `kv`) contributes
+    /// the *run* of `counts[i]` consecutive tokens starting at `starts[i]`
+    /// (its rows are the corresponding slice of `tokens`, which
+    /// concatenates all runs in sequence order). A decode step is a run of
+    /// length 1; a prefill chunk is a run of its chunk length. `logits`
+    /// picks what comes back:
     ///
-    /// **Bit-identical** to calling [`Transformer::forward_with_kv`] once
-    /// per sequence: the batched kernels compute every element with the
-    /// same `dot` over the same operands in the same order, the
-    /// per-sequence kernels (rmsnorm, RoPE, attention, SwiGLU) run on
-    /// sequence-major slices identical to the sequential scratch, and
-    /// sequences share no state, so the layer-interleaved schedule cannot
-    /// change any value.
-    ///
-    /// # Panics
-    /// Panics on an empty batch, mismatched `tokens`/`positions`/batch
-    /// lengths, a position outside the context window, an out-of-vocab
-    /// token, or a store sized for a different context window.
-    pub fn forward_batch_with_kv<B: KvBatch + ?Sized>(
-        &mut self,
-        kv: &mut B,
-        tokens: &[u32],
-        positions: &[usize],
-    ) -> &[f32] {
-        let n = tokens.len();
-        assert!(n >= 1, "empty batch");
-        assert_eq!(n, positions.len(), "one position per token");
-        let counts = vec![1usize; n];
-        self.forward_runs_with_kv(kv, tokens, &counts, positions)
-    }
-
-    /// The **mixed-batch** generalization of
-    /// [`Transformer::forward_batch_with_kv`]: one walk over the layers
-    /// carries a variable number of tokens per sequence, so a single
-    /// weight-streaming GEMM tick can serve N decode tokens *and* M
-    /// prefill-chunk tokens at once (Sarathi-style unified batching,
-    /// DESIGN.md §14).
-    ///
-    /// Sequence `i` contributes the *run* of `counts[i]` consecutive
-    /// tokens starting at `starts[i]` (its rows are the corresponding
-    /// slice of `tokens`, which concatenates all runs in sequence order).
-    /// A decode step is a run of length 1; a prefill chunk is a run of
-    /// its chunk length. Returns the logits of each sequence's **last**
-    /// run token, sequence-major: `out[i * vocab..(i + 1) * vocab]`.
+    /// * [`Logits::LastRow`] — the logits of each sequence's **last** run
+    ///   token, sequence-major: `out[i * vocab..(i + 1) * vocab]`.
+    /// * [`Logits::AllRows`] — the logits of **every** token row,
+    ///   row-major: `out[r * vocab..(r + 1) * vocab]` is the distribution
+    ///   after row `r` of `tokens`. This is the speculative verification
+    ///   primitive: one pass scores a pending token plus K drafts.
     ///
     /// **Bit-identical** to prefilling/decoding each run token-by-token
     /// through [`Transformer::forward_with_kv`]: every dense projection
@@ -506,6 +480,7 @@ impl Transformer {
         tokens: &[u32],
         counts: &[usize],
         starts: &[usize],
+        logits: Logits,
     ) -> &[f32] {
         let c = self.weights.config;
         let n_seqs = counts.len();
@@ -518,19 +493,19 @@ impl Transformer {
             counts.iter().sum::<usize>(),
             "token rows must match run counts"
         );
-        for i in 0..n_seqs {
-            assert!(counts[i] >= 1, "empty run for sequence {i}");
+        for (i, &count) in counts.iter().enumerate() {
+            assert!(count >= 1, "empty run for sequence {i}");
             assert_eq!(
                 kv.kv_capacity(i),
                 c.seq_len,
                 "kv store {i} sized for a different context window"
             );
         }
-        if self.batch.as_ref().map_or(true, |b| b.capacity < rows) {
+        if self.batch.as_ref().is_none_or(|b| b.capacity < rows) {
             self.batch = Some(BatchState::new(&c, rows));
         }
         let bs = self.batch.as_mut().expect("batch state just ensured");
-        Self::forward_runs_into(
+        let out_rows = Self::forward_runs_into(
             &self.weights,
             &self.store,
             bs,
@@ -539,79 +514,20 @@ impl Transformer {
             tokens,
             counts,
             starts,
-            false,
+            logits,
         );
-        &bs.logits[..n_seqs * c.vocab_size]
+        &bs.logits[..out_rows * c.vocab_size]
     }
 
-    /// Like [`Transformer::forward_runs_with_kv`], but returns the logits
-    /// of **every** token row, row-major: `out[r * vocab..(r + 1) * vocab]`
-    /// is the distribution after row `r` of `tokens` (rows ordered as the
-    /// concatenated runs). This is the verification primitive for
-    /// speculative decoding: one weight-streaming pass scores a pending
-    /// token plus K drafted continuations, and each row's logits are
-    /// bit-identical to what [`Transformer::forward_with_kv`] would have
-    /// produced decoding that prefix token-by-token — the classifier is
-    /// the same GEMM kernel over the same normed residuals, just over all
-    /// rows instead of each sequence's last.
-    ///
-    /// # Panics
-    /// Same conditions as [`Transformer::forward_runs_with_kv`].
-    pub fn forward_runs_all_logits_with_kv<B: KvBatch + ?Sized>(
-        &mut self,
-        kv: &mut B,
-        tokens: &[u32],
-        counts: &[usize],
-        starts: &[usize],
-    ) -> &[f32] {
-        let c = self.weights.config;
-        let n_seqs = counts.len();
-        let rows = tokens.len();
-        assert!(n_seqs >= 1, "empty batch");
-        assert_eq!(n_seqs, starts.len(), "one start position per sequence");
-        assert_eq!(n_seqs, kv.batch_len(), "one KV store per sequence");
-        assert_eq!(
-            rows,
-            counts.iter().sum::<usize>(),
-            "token rows must match run counts"
-        );
-        for i in 0..n_seqs {
-            assert!(counts[i] >= 1, "empty run for sequence {i}");
-            assert_eq!(
-                kv.kv_capacity(i),
-                c.seq_len,
-                "kv store {i} sized for a different context window"
-            );
-        }
-        if self.batch.as_ref().map_or(true, |b| b.capacity < rows) {
-            self.batch = Some(BatchState::new(&c, rows));
-        }
-        let bs = self.batch.as_mut().expect("batch state just ensured");
-        Self::forward_runs_into(
-            &self.weights,
-            &self.store,
-            bs,
-            kv,
-            self.strategy,
-            tokens,
-            counts,
-            starts,
-            true,
-        );
-        &bs.logits[..rows * c.vocab_size]
-    }
-
-    /// The mixed-batch forward pass over explicit parts (the batched twin
+    /// The run-based forward pass over explicit parts (the batched twin
     /// of [`Transformer::forward_into`]): same layer walk, but each dense
     /// projection is one GEMM over every token row of every run, and
     /// everything per-token runs on that row's slice of the row-major
-    /// scratch. With `all_logits = false` the classifier runs only over
-    /// each sequence's last row — the sequential pass computes (and
-    /// discards) logits for intermediate prefill tokens, so skipping them
-    /// cannot change any value that is ever observed. With
-    /// `all_logits = true` every row is normed and classified, filling
-    /// `bs.logits` row-major `[rows * vocab]` for speculative
-    /// verification.
+    /// scratch. Only the rows `logits` selects are normed and classified
+    /// — the sequential pass computes (and discards) logits for
+    /// intermediate prefill tokens, so skipping them cannot change any
+    /// value that is ever observed. Returns the number of logits rows
+    /// written to `bs.logits`.
     #[allow(clippy::too_many_arguments)]
     fn forward_runs_into<B: KvBatch + ?Sized>(
         weights: &TransformerWeights,
@@ -622,8 +538,8 @@ impl Transformer {
         tokens: &[u32],
         counts: &[usize],
         starts: &[usize],
-        all_logits: bool,
-    ) {
+        logits: Logits,
+    ) -> usize {
         let c = weights.config;
         let rows = tokens.len();
         let n_seqs = counts.len();
@@ -861,67 +777,46 @@ impl Transformer {
             }
         }
 
-        // Final norm + classifier. In the `all_logits` path (speculative
-        // verification) every row is normed in place and classified in one
-        // GEMM, landing row-major in `logits`; each row's values match the
-        // sequential classifier bit-for-bit because rmsnorm and the GEMM
-        // column for that row see exactly the sequential operands.
-        if all_logits {
-            let _cls = tel::span("cpu", "classifier_batch").arg("batch", rows as i64);
-            for r in 0..rows {
-                ops::rmsnorm_inplace(&mut bs.x[r * dim..(r + 1) * dim], &weights.rms_final);
-            }
-            run_matmul(
-                strategy,
-                &mut bs.gemm[..c.vocab_size * rows],
-                matw(store.classifier(), weights.classifier()),
-                &bs.x[..rows * dim],
-                c.vocab_size,
-                dim,
-                rows,
-            );
-            scatter_to_seq(
-                &mut bs.logits[..rows * c.vocab_size],
-                &bs.gemm[..c.vocab_size * rows],
-                c.vocab_size,
-                rows,
-            );
-            return;
-        }
-
-        // Otherwise classify each sequence's **last** row only
-        // (intermediate prefill logits are never observed). The last rows
-        // are compacted into `xb` so the classifier still runs as one
-        // GEMM streaming the weight matrix once.
-        let _cls = tel::span("cpu", "classifier_batch").arg("batch", n_seqs as i64);
-        let mut last_rows = Vec::with_capacity(n_seqs);
-        let mut running = 0usize;
-        for &cnt in counts {
-            running += cnt;
-            last_rows.push(running - 1);
-        }
-        for &r in &last_rows {
-            ops::rmsnorm_inplace(&mut bs.x[r * dim..(r + 1) * dim], &weights.rms_final);
-        }
-        for (i, &r) in last_rows.iter().enumerate() {
+        // Final norm + classifier over the selected rows only. They are
+        // compacted into `xb` so the classifier runs as one GEMM streaming
+        // the weight matrix once; each row's values match the sequential
+        // classifier bit-for-bit because rmsnorm and the GEMM column for
+        // that row see exactly the sequential operands.
+        let cls_rows: Vec<usize> = match logits {
+            Logits::AllRows => (0..rows).collect(),
+            Logits::LastRow => counts
+                .iter()
+                .scan(0usize, |end, &cnt| {
+                    *end += cnt;
+                    Some(*end - 1)
+                })
+                .collect(),
+        };
+        let n = cls_rows.len();
+        let _cls = tel::span("cpu", "classifier_batch").arg("batch", n as i64);
+        for (i, &r) in cls_rows.iter().enumerate() {
             let BatchState { x, xb, .. } = bs;
+            // In place, as the sequential pass does: `rmsnorm` rounds
+            // differently.
+            ops::rmsnorm_inplace(&mut x[r * dim..(r + 1) * dim], &weights.rms_final);
             xb[i * dim..(i + 1) * dim].copy_from_slice(&x[r * dim..(r + 1) * dim]);
         }
         run_matmul(
             strategy,
-            &mut bs.gemm[..c.vocab_size * n_seqs],
+            &mut bs.gemm[..c.vocab_size * n],
             matw(store.classifier(), weights.classifier()),
-            &bs.xb[..n_seqs * dim],
+            &bs.xb[..n * dim],
             c.vocab_size,
             dim,
-            n_seqs,
+            n,
         );
         scatter_to_seq(
-            &mut bs.logits[..n_seqs * c.vocab_size],
-            &bs.gemm[..c.vocab_size * n_seqs],
+            &mut bs.logits[..n * c.vocab_size],
+            &bs.gemm[..c.vocab_size * n],
             c.vocab_size,
-            n_seqs,
+            n,
         );
+        n
     }
 
     /// The forward pass over explicit parts, so callers can substitute the
@@ -1183,7 +1078,13 @@ mod tests {
                     let positions: Vec<usize> = kvs_b.iter().map(KvCache::len).collect();
                     let mut refs: Vec<&mut KvCache> = kvs_b.iter_mut().collect();
                     let got = batched
-                        .forward_batch_with_kv(refs.as_mut_slice(), &tokens, &positions)
+                        .forward_runs_with_kv(
+                            refs.as_mut_slice(),
+                            &tokens,
+                            &vec![1; n],
+                            &positions,
+                            Logits::LastRow,
+                        )
                         .to_vec();
                     for (i, kv) in kvs_s.iter_mut().enumerate() {
                         let want = oracle.forward_with_kv(kv, tokens[i], positions[i]);
@@ -1225,7 +1126,13 @@ mod tests {
                         let positions: Vec<usize> = kvs_b.iter().map(KvCache::len).collect();
                         let mut refs: Vec<&mut KvCache> = kvs_b.iter_mut().collect();
                         let got = batched
-                            .forward_batch_with_kv(refs.as_mut_slice(), &tokens, &positions)
+                            .forward_runs_with_kv(
+                                refs.as_mut_slice(),
+                                &tokens,
+                                &vec![1; n],
+                                &positions,
+                                Logits::LastRow,
+                            )
                             .to_vec();
                         for (i, kv) in kvs_s.iter_mut().enumerate() {
                             let want = oracle.forward_with_kv(kv, tokens[i], positions[i]);
@@ -1274,75 +1181,110 @@ mod tests {
     fn mixed_runs_are_bit_identical_to_sequential() {
         use crate::kv_cache::KvCache;
         let cfg = ModelConfig::test_tiny();
-        for strategy in [
-            MatVecStrategy::Serial,
-            MatVecStrategy::Parallel { threads: 3 },
-        ] {
-            // Each case: per-sequence (context already cached, run length).
-            // Mixes decode rows (count 1) with prefill chunks (count > 1),
-            // including a chunk continuing a non-empty context.
-            for case in [
-                vec![(0usize, 4usize)],       // pure prefill, one seq
-                vec![(3, 1), (0, 4)],         // decode + cold prefill
-                vec![(2, 1), (1, 3), (4, 1)], // decode, chunk, decode
-                vec![(0, 2), (2, 2)],         // two chunks, one warm
-                vec![(1, 1), (2, 1), (3, 1)], // pure decode (regression)
+        let vocab = cfg.vocab_size;
+        // Every quantized CPU prefill takes this path, so the quantized
+        // stores are covered with multi-token runs too.
+        for mode in [QuantMode::F32, QuantMode::Int8, QuantMode::Int4] {
+            for strategy in [
+                MatVecStrategy::Serial,
+                MatVecStrategy::Parallel { threads: 3 },
             ] {
-                let weights = TransformerWeights::synthetic(cfg, 7);
-                let mut mixed = Transformer::new(weights.clone());
-                mixed.set_strategy(strategy);
-                let mut oracle = Transformer::new(weights);
-                oracle.set_strategy(strategy);
+                // Each case: per-sequence (context already cached, run length).
+                // Mixes decode rows (count 1) with prefill chunks (count > 1),
+                // including a chunk continuing a non-empty context.
+                for case in [
+                    vec![(0usize, 4usize)],       // pure prefill, one seq
+                    vec![(3, 1), (0, 4)],         // decode + cold prefill
+                    vec![(2, 1), (1, 3), (4, 1)], // decode, chunk, decode
+                    vec![(0, 2), (2, 2)],         // two chunks, one warm
+                    vec![(1, 1), (2, 1), (3, 1)], // pure decode (regression)
+                ] {
+                    let weights = TransformerWeights::synthetic(cfg, 7);
+                    let mut mixed = Transformer::new(weights.clone());
+                    mixed.set_strategy(strategy);
+                    mixed.set_quant_mode(mode);
+                    let mut oracle = Transformer::new(weights);
+                    oracle.set_strategy(strategy);
+                    oracle.set_quant_mode(mode);
 
-                let n = case.len();
-                let mut kvs_m: Vec<KvCache> = (0..n).map(|_| KvCache::new(&cfg)).collect();
-                let mut kvs_s: Vec<KvCache> = (0..n).map(|_| KvCache::new(&cfg)).collect();
-                for (i, &(ctx, _)) in case.iter().enumerate() {
-                    for p in 0..ctx {
-                        let tok = ((5 * i + p) % 64) as u32;
-                        oracle.forward_with_kv(&mut kvs_s[i], tok, p);
-                        oracle.forward_with_kv(&mut kvs_m[i], tok, p);
+                    let n = case.len();
+                    let new_kvs = || (0..n).map(|_| KvCache::new(&cfg)).collect::<Vec<_>>();
+                    // Last-row pass, all-rows pass, sequential oracle.
+                    let (mut kvs_m, mut kvs_a, mut kvs_s) = (new_kvs(), new_kvs(), new_kvs());
+                    for (i, &(ctx, _)) in case.iter().enumerate() {
+                        for p in 0..ctx {
+                            let tok = ((5 * i + p) % 64) as u32;
+                            oracle.forward_with_kv(&mut kvs_s[i], tok, p);
+                            oracle.forward_with_kv(&mut kvs_m[i], tok, p);
+                            oracle.forward_with_kv(&mut kvs_a[i], tok, p);
+                        }
                     }
-                }
 
-                let mut tokens = Vec::new();
-                let mut counts = Vec::new();
-                let mut starts = Vec::new();
-                for (i, &(ctx, run)) in case.iter().enumerate() {
-                    counts.push(run);
-                    starts.push(ctx);
-                    for off in 0..run {
-                        tokens.push(((11 * i + 3 * off + 1) % 64) as u32);
+                    let mut tokens = Vec::new();
+                    let mut counts = Vec::new();
+                    let mut starts = Vec::new();
+                    for (i, &(ctx, run)) in case.iter().enumerate() {
+                        counts.push(run);
+                        starts.push(ctx);
+                        for off in 0..run {
+                            tokens.push(((11 * i + 3 * off + 1) % 64) as u32);
+                        }
                     }
-                }
 
-                let mut refs: Vec<&mut KvCache> = kvs_m.iter_mut().collect();
-                let got = mixed
-                    .forward_runs_with_kv(refs.as_mut_slice(), &tokens, &counts, &starts)
-                    .to_vec();
+                    let mut refs: Vec<&mut KvCache> = kvs_m.iter_mut().collect();
+                    let got = mixed
+                        .forward_runs_with_kv(
+                            refs.as_mut_slice(),
+                            &tokens,
+                            &counts,
+                            &starts,
+                            Logits::LastRow,
+                        )
+                        .to_vec();
+                    assert_eq!(got.len(), n * vocab);
+                    let mut refs: Vec<&mut KvCache> = kvs_a.iter_mut().collect();
+                    let all = mixed
+                        .forward_runs_with_kv(
+                            refs.as_mut_slice(),
+                            &tokens,
+                            &counts,
+                            &starts,
+                            Logits::AllRows,
+                        )
+                        .to_vec();
+                    assert_eq!(all.len(), tokens.len() * vocab);
 
-                // Oracle: feed each sequence's run token-by-token; only the
-                // last logits of each run are observable.
-                let mut row = 0usize;
-                for (i, &(ctx, run)) in case.iter().enumerate() {
-                    let mut want = Vec::new();
-                    for off in 0..run {
-                        want = oracle
-                            .forward_with_kv(&mut kvs_s[i], tokens[row], ctx + off)
-                            .to_vec();
-                        row += 1;
+                    // Oracle: feed each sequence's run token-by-token. Every
+                    // row must match the all-rows pass; the run's last row
+                    // must match the last-row pass.
+                    let mut row = 0usize;
+                    for (i, &(ctx, run)) in case.iter().enumerate() {
+                        let mut want = Vec::new();
+                        for off in 0..run {
+                            want = oracle
+                                .forward_with_kv(&mut kvs_s[i], tokens[row], ctx + off)
+                                .to_vec();
+                            assert_eq!(
+                                &all[row * vocab..(row + 1) * vocab],
+                                &want[..],
+                                "{mode:?} case {case:?} seq {i} row {off} diverged ({strategy:?})"
+                            );
+                            row += 1;
+                        }
+                        assert_eq!(
+                            &got[i * vocab..(i + 1) * vocab],
+                            &want[..],
+                            "{mode:?} case {case:?} seq {i} diverged ({strategy:?})"
+                        );
+                        // KV contents must match too: decode again and compare.
+                        let probe = ((i + 9) % 64) as u32;
+                        let pos = ctx + run;
+                        let m = mixed.forward_with_kv(&mut kvs_m[i], probe, pos).to_vec();
+                        let a = mixed.forward_with_kv(&mut kvs_a[i], probe, pos).to_vec();
+                        let s = oracle.forward_with_kv(&mut kvs_s[i], probe, pos);
+                        assert_eq!(&m[..], s, "{mode:?} case {case:?} seq {i} KV diverged");
+                        assert_eq!(&a[..], s, "{mode:?} case {case:?} seq {i} KV diverged");
                     }
-                    assert_eq!(
-                        &got[i * cfg.vocab_size..(i + 1) * cfg.vocab_size],
-                        &want[..],
-                        "case {case:?} seq {i} diverged ({strategy:?})"
-                    );
-                    // KV contents must match too: decode again and compare.
-                    let probe = ((i + 9) % 64) as u32;
-                    let pos = ctx + run;
-                    let m = mixed.forward_with_kv(&mut kvs_m[i], probe, pos).to_vec();
-                    let s = oracle.forward_with_kv(&mut kvs_s[i], probe, pos);
-                    assert_eq!(&m[..], s, "case {case:?} seq {i} KV diverged");
                 }
             }
         }
@@ -1391,7 +1333,13 @@ mod tests {
 
                 let mut refs: Vec<&mut KvCache> = kvs_m.iter_mut().collect();
                 let got = mixed
-                    .forward_runs_all_logits_with_kv(refs.as_mut_slice(), &tokens, &counts, &starts)
+                    .forward_runs_with_kv(
+                        refs.as_mut_slice(),
+                        &tokens,
+                        &counts,
+                        &starts,
+                        Logits::AllRows,
+                    )
                     .to_vec();
                 assert_eq!(got.len(), tokens.len() * cfg.vocab_size);
 
@@ -1422,7 +1370,7 @@ mod tests {
         let mut t = model();
         let mut kv = KvCache::new(&cfg);
         let mut refs = [&mut kv];
-        t.forward_runs_with_kv(refs.as_mut_slice(), &[1, 2, 3], &[2], &[0]);
+        t.forward_runs_with_kv(refs.as_mut_slice(), &[1, 2, 3], &[2], &[0], Logits::LastRow);
     }
 
     #[test]
@@ -1438,7 +1386,13 @@ mod tests {
             let positions = vec![0usize; n];
             let mut refs: Vec<&mut KvCache> = kvs.iter_mut().collect();
             let got = t
-                .forward_batch_with_kv(refs.as_mut_slice(), &tokens, &positions)
+                .forward_runs_with_kv(
+                    refs.as_mut_slice(),
+                    &tokens,
+                    &vec![1; n],
+                    &positions,
+                    Logits::LastRow,
+                )
                 .to_vec();
             for (i, &tok) in tokens.iter().enumerate() {
                 let mut kv = KvCache::new(&cfg);
@@ -1454,7 +1408,7 @@ mod tests {
         use crate::kv_cache::KvCache;
         let mut t = model();
         let mut refs: Vec<&mut KvCache> = Vec::new();
-        t.forward_batch_with_kv(refs.as_mut_slice(), &[], &[]);
+        t.forward_runs_with_kv(refs.as_mut_slice(), &[], &[], &[], Logits::LastRow);
     }
 
     #[test]

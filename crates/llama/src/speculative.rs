@@ -1,10 +1,10 @@
 //! Speculative decoding with exact equivalence: a cheap draft model
 //! proposes K tokens greedily, the target scores the pending token plus
 //! all K proposals in **one** weight-streaming verify pass
-//! ([`Transformer::forward_runs_all_logits_with_kv`]), and the session
-//! accepts the longest prefix on which the request sampler agrees —
-//! rolling back draft and target KV state for everything past the accept
-//! point.
+//! ([`Transformer::forward_runs_with_kv`] with [`Logits::AllRows`]), and
+//! the session accepts the longest prefix on which the request sampler
+//! agrees — rolling back draft and target KV state for everything past
+//! the accept point.
 //!
 //! The decode path is memory-bandwidth-bound (DESIGN.md §10): every
 //! non-speculative step streams the full weight matrix for one token. A
@@ -24,7 +24,7 @@
 //! window advance through the identical call sequence. See DESIGN.md §16.
 
 use crate::config::ModelConfig;
-use crate::forward::Transformer;
+use crate::forward::{Logits, Transformer};
 use crate::generate::GenerateOptions;
 use crate::kv_cache::KvStore;
 use crate::sampler::{self, Sampler};
@@ -79,11 +79,12 @@ impl<K: KvStore + ?Sized> VerifyTarget for CpuVerifier<'_, K> {
 
     fn verify_into(&mut self, tokens: &[u32], start: usize, out: &mut Vec<f32>) {
         let mut refs = [&mut *self.kv];
-        let logits = self.model.forward_runs_all_logits_with_kv(
+        let logits = self.model.forward_runs_with_kv(
             refs.as_mut_slice(),
             tokens,
             &[tokens.len()],
             &[start],
+            Logits::AllRows,
         );
         out.clear();
         out.extend_from_slice(logits);

@@ -22,18 +22,19 @@
 //! Costs are reported in **virtual ticks** so serve-bench reports are
 //! bit-reproducible across machines:
 //!
-//! * [`CpuBackend`] charges one tick per token forward. Its decode step
-//!   runs the batched weight-reuse GEMM path (one layer walk, one weight
-//!   stream per matrix for the whole batch — DESIGN.md §13), but the tick
-//!   cost stays `n` for a batch of `n` so reports from older seeds remain
-//!   byte-identical; the batching economy is a *wall-clock* effect.
+//! * [`CpuBackend`] charges one tick per token row. Every tick — prefill
+//!   chunk, decode batch, mixed or verify — runs the run-based
+//!   weight-reuse GEMM path (one layer walk, one weight stream per matrix
+//!   for all rows — DESIGN.md §13), but the tick cost stays the row count
+//!   so reports from older seeds remain byte-identical; the batching
+//!   economy is a *wall-clock* effect.
 //! * [`AccelBackend`] charges the simulated device cycles of the pass, so
 //!   weight-stream amortization across a batch (the whole point of
 //!   continuous batching on the accelerator) shows up in the report.
 
 use speedllm_accel::engine::{Engine, SequenceState};
 use speedllm_llama::config::ModelConfig;
-use speedllm_llama::forward::Transformer;
+use speedllm_llama::forward::{Logits, Transformer};
 use speedllm_llama::kv_cache::{KvCache, PoolSlot};
 use speedllm_pagedkv::{BlockConfig, BlockId, BlockTable, PagedKvArena};
 
@@ -52,27 +53,46 @@ pub trait Backend {
 
     /// Runs one prefill chunk (1..=64 tokens) that contiguously extends
     /// `slot` starting at `start_pos`. Returns the logits after the last
-    /// chunk token and the virtual-tick cost of the pass.
+    /// chunk token and the virtual-tick cost of the pass. Provided: a
+    /// one-run [`Backend::forward_mixed`] tick.
+    ///
+    /// # Panics
+    /// Panics if `start_pos` is not the slot's context length.
     fn prefill(
         &mut self,
         slot: &mut Self::Slot,
         tokens: &[u32],
         start_pos: usize,
-    ) -> (Vec<f32>, u64);
+    ) -> (Vec<f32>, u64) {
+        assert_eq!(
+            slot.slot_len(),
+            start_pos,
+            "chunk must extend the sequence contiguously"
+        );
+        let (mut logits, cost) = self.forward_mixed(&mut [slot], &[tokens]);
+        (
+            logits.pop().expect("one run in, one logits vector out"),
+            cost,
+        )
+    }
 
     /// Runs one batched decode step: `tokens[i]` extends `slots[i]` at its
     /// current context length. Returns one logit vector per slot, in
-    /// order, plus the virtual-tick cost of the whole pass.
-    fn decode(&mut self, slots: &mut [&mut Self::Slot], tokens: &[u32]) -> (Vec<Vec<f32>>, u64);
+    /// order, plus the virtual-tick cost of the whole pass. Provided: a
+    /// [`Backend::forward_mixed`] tick of one-token runs.
+    fn decode(&mut self, slots: &mut [&mut Self::Slot], tokens: &[u32]) -> (Vec<Vec<f32>>, u64) {
+        assert_eq!(slots.len(), tokens.len(), "one token per sequence");
+        let runs: Vec<&[u32]> = tokens.iter().map(std::slice::from_ref).collect();
+        self.forward_mixed(slots, &runs)
+    }
 
     /// Runs one **mixed** tick: `runs[i]` (one or more consecutive tokens
     /// — a decode step or a prefill chunk) extends `slots[i]` at its
     /// current context length, all in a single weight-streaming pass
     /// (Sarathi-style unified batching, DESIGN.md §14). Returns the
     /// logits after the last token of each run, in order, plus the
-    /// virtual-tick cost of the whole pass. Must be bit-identical to
-    /// running each run alone through [`Backend::prefill`] /
-    /// [`Backend::decode`].
+    /// virtual-tick cost of the whole pass. Each run's logits must be
+    /// bit-identical to running that run alone.
     fn forward_mixed(
         &mut self,
         slots: &mut [&mut Self::Slot],
@@ -154,7 +174,7 @@ impl PoolSlot for CpuSlot {
 }
 
 /// CPU reference backend: one [`Transformer`] (weights + scratch) shared
-/// across all sequences via [`Transformer::forward_with_kv`].
+/// across all sequences via [`Transformer::forward_runs_with_kv`].
 pub struct CpuBackend {
     model: Transformer,
     arena: Option<PagedKvArena>,
@@ -183,25 +203,67 @@ impl CpuBackend {
         &self.model
     }
 
-    /// One sequential forward step. Returns a borrow of the model's logits
-    /// scratch — the caller decides when (and whether) to copy, so a
-    /// prefill chunk of N tokens no longer pays N `to_vec` allocations,
-    /// only the single copy of the last token's logits it actually keeps.
-    fn forward<'m>(
-        model: &'m mut Transformer,
-        arena: &mut Option<PagedKvArena>,
-        slot: &mut CpuSlot,
-        tok: u32,
-        pos: usize,
-    ) -> &'m [f32] {
-        match slot {
-            CpuSlot::Flat(kv) => model.forward_with_kv(kv, tok, pos),
-            CpuSlot::Paged(table) => {
-                let arena = arena.as_mut().expect("paged slot without an arena");
-                let mut view = arena.view(table);
-                model.forward_with_kv(&mut view, tok, pos)
+    /// One run-based pass through [`Transformer::forward_runs_with_kv`]
+    /// over flat or paged slots: every row of every run shares one layer
+    /// walk and one stream of each weight matrix. Returns one logits entry
+    /// per run (shaped by `logits`) and the token rows carried, which is
+    /// the virtual-tick cost of every CPU tick — the clock charges
+    /// per-token work so reports stay byte-reproducible, and the
+    /// weight-reuse win shows up in wall-clock and in the `cpu.gemm_*`
+    /// telemetry counters.
+    fn forward_runs(
+        &mut self,
+        slots: &mut [&mut CpuSlot],
+        runs: &[&[u32]],
+        logits: Logits,
+    ) -> (Vec<Vec<f32>>, u64) {
+        assert_eq!(slots.len(), runs.len(), "one token run per sequence");
+        assert!(!slots.is_empty(), "empty batch");
+        let starts: Vec<usize> = slots.iter().map(|s| s.slot_len()).collect();
+        let counts: Vec<usize> = runs.iter().map(|r| r.len()).collect();
+        let tokens: Vec<u32> = runs.iter().flat_map(|r| r.iter().copied()).collect();
+        let vocab = self.model.config().vocab_size;
+        let out: &[f32] = match &mut self.arena {
+            None => {
+                let mut kvs: Vec<&mut KvCache> = slots
+                    .iter_mut()
+                    .map(|s| match &mut **s {
+                        CpuSlot::Flat(kv) => kv,
+                        CpuSlot::Paged(_) => panic!("paged slot in a flat backend"),
+                    })
+                    .collect();
+                self.model.forward_runs_with_kv(
+                    kvs.as_mut_slice(),
+                    &tokens,
+                    &counts,
+                    &starts,
+                    logits,
+                )
             }
+            Some(arena) => {
+                let tables: Vec<&mut BlockTable> = slots
+                    .iter_mut()
+                    .map(|s| match &mut **s {
+                        CpuSlot::Paged(table) => table,
+                        CpuSlot::Flat(_) => panic!("flat slot in a paged backend"),
+                    })
+                    .collect();
+                let mut batch = arena.batch_view(tables);
+                self.model
+                    .forward_runs_with_kv(&mut batch, &tokens, &counts, &starts, logits)
+            }
+        };
+        let mut per_run = Vec::with_capacity(runs.len());
+        let mut row = 0usize;
+        for &cnt in &counts {
+            let n = match logits {
+                Logits::LastRow => 1,
+                Logits::AllRows => cnt,
+            };
+            per_run.push(out[row * vocab..(row + n) * vocab].to_vec());
+            row += n;
         }
+        (per_run, tokens.len() as u64)
     }
 }
 
@@ -219,169 +281,16 @@ impl Backend for CpuBackend {
         }
     }
 
-    fn prefill(
-        &mut self,
-        slot: &mut Self::Slot,
-        tokens: &[u32],
-        start_pos: usize,
-    ) -> (Vec<f32>, u64) {
-        assert!(!tokens.is_empty(), "empty chunk");
-        let (last, rest) = tokens.split_last().expect("non-empty chunk");
-        for (i, &tok) in rest.iter().enumerate() {
-            // Intermediate logits stay in the model's scratch, uncopied.
-            Self::forward(&mut self.model, &mut self.arena, slot, tok, start_pos + i);
-        }
-        let logits = Self::forward(
-            &mut self.model,
-            &mut self.arena,
-            slot,
-            *last,
-            start_pos + rest.len(),
-        );
-        (logits.to_vec(), tokens.len() as u64)
-    }
-
-    /// One batched decode step through
-    /// [`Transformer::forward_batch_with_kv`]: the layers are walked once
-    /// and every weight matrix is streamed once for the whole batch
-    /// (bit-identical to the per-sequence loop — see DESIGN.md §13). The
-    /// virtual-tick cost stays `slots.len()` — the serve clock charges
-    /// per-token work so reports remain byte-reproducible; the weight-reuse
-    /// win shows up in wall-clock throughput (`ablation_batched_gemm`) and
-    /// in the `cpu.gemm_*` telemetry counters.
-    fn decode(&mut self, slots: &mut [&mut Self::Slot], tokens: &[u32]) -> (Vec<Vec<f32>>, u64) {
-        assert_eq!(slots.len(), tokens.len(), "one token per sequence");
-        assert!(!slots.is_empty(), "empty batch");
-        let positions: Vec<usize> = slots.iter().map(|s| s.slot_len()).collect();
-        let vocab = self.model.config().vocab_size;
-        let logits: &[f32] = match &mut self.arena {
-            None => {
-                let mut kvs: Vec<&mut KvCache> = slots
-                    .iter_mut()
-                    .map(|s| match &mut **s {
-                        CpuSlot::Flat(kv) => kv,
-                        CpuSlot::Paged(_) => panic!("paged slot in a flat backend"),
-                    })
-                    .collect();
-                self.model
-                    .forward_batch_with_kv(kvs.as_mut_slice(), tokens, &positions)
-            }
-            Some(arena) => {
-                let tables: Vec<&mut BlockTable> = slots
-                    .iter_mut()
-                    .map(|s| match &mut **s {
-                        CpuSlot::Paged(table) => table,
-                        CpuSlot::Flat(_) => panic!("flat slot in a paged backend"),
-                    })
-                    .collect();
-                let mut batch = arena.batch_view(tables);
-                self.model
-                    .forward_batch_with_kv(&mut batch, tokens, &positions)
-            }
-        };
-        let out = (0..slots.len())
-            .map(|b| logits[b * vocab..(b + 1) * vocab].to_vec())
-            .collect();
-        (out, slots.len() as u64)
-    }
-
-    /// One mixed tick through [`Transformer::forward_runs_with_kv`]: every
-    /// decode row and prefill-chunk row of the tick shares the same layer
-    /// walk and weight streams. The virtual-tick cost is the total number
-    /// of token rows carried — per-token, like `prefill` and `decode`, so
-    /// the clock charges work actually done rather than a tick per phase.
     fn forward_mixed(
         &mut self,
         slots: &mut [&mut Self::Slot],
         runs: &[&[u32]],
     ) -> (Vec<Vec<f32>>, u64) {
-        assert_eq!(slots.len(), runs.len(), "one token run per sequence");
-        assert!(!slots.is_empty(), "empty batch");
-        let starts: Vec<usize> = slots.iter().map(|s| s.slot_len()).collect();
-        let counts: Vec<usize> = runs.iter().map(|r| r.len()).collect();
-        let tokens: Vec<u32> = runs.iter().flat_map(|r| r.iter().copied()).collect();
-        let rows = tokens.len() as u64;
-        let vocab = self.model.config().vocab_size;
-        let logits: &[f32] = match &mut self.arena {
-            None => {
-                let mut kvs: Vec<&mut KvCache> = slots
-                    .iter_mut()
-                    .map(|s| match &mut **s {
-                        CpuSlot::Flat(kv) => kv,
-                        CpuSlot::Paged(_) => panic!("paged slot in a flat backend"),
-                    })
-                    .collect();
-                self.model
-                    .forward_runs_with_kv(kvs.as_mut_slice(), &tokens, &counts, &starts)
-            }
-            Some(arena) => {
-                let tables: Vec<&mut BlockTable> = slots
-                    .iter_mut()
-                    .map(|s| match &mut **s {
-                        CpuSlot::Paged(table) => table,
-                        CpuSlot::Flat(_) => panic!("flat slot in a paged backend"),
-                    })
-                    .collect();
-                let mut batch = arena.batch_view(tables);
-                self.model
-                    .forward_runs_with_kv(&mut batch, &tokens, &counts, &starts)
-            }
-        };
-        let out = (0..slots.len())
-            .map(|b| logits[b * vocab..(b + 1) * vocab].to_vec())
-            .collect();
-        (out, rows)
+        self.forward_runs(slots, runs, Logits::LastRow)
     }
 
-    /// One verify tick through
-    /// [`Transformer::forward_runs_all_logits_with_kv`]: the same single
-    /// weight-streaming pass as `forward_mixed`, but every row's logits
-    /// come back (row-major per run) for the accept loop to score. Cost
-    /// stays per-token-row, like every other CPU tick.
     fn verify(&mut self, slots: &mut [&mut Self::Slot], runs: &[&[u32]]) -> (Vec<Vec<f32>>, u64) {
-        assert_eq!(slots.len(), runs.len(), "one token run per sequence");
-        assert!(!slots.is_empty(), "empty batch");
-        let starts: Vec<usize> = slots.iter().map(|s| s.slot_len()).collect();
-        let counts: Vec<usize> = runs.iter().map(|r| r.len()).collect();
-        let tokens: Vec<u32> = runs.iter().flat_map(|r| r.iter().copied()).collect();
-        let rows = tokens.len() as u64;
-        let vocab = self.model.config().vocab_size;
-        let logits: &[f32] = match &mut self.arena {
-            None => {
-                let mut kvs: Vec<&mut KvCache> = slots
-                    .iter_mut()
-                    .map(|s| match &mut **s {
-                        CpuSlot::Flat(kv) => kv,
-                        CpuSlot::Paged(_) => panic!("paged slot in a flat backend"),
-                    })
-                    .collect();
-                self.model.forward_runs_all_logits_with_kv(
-                    kvs.as_mut_slice(),
-                    &tokens,
-                    &counts,
-                    &starts,
-                )
-            }
-            Some(arena) => {
-                let tables: Vec<&mut BlockTable> = slots
-                    .iter_mut()
-                    .map(|s| match &mut **s {
-                        CpuSlot::Paged(table) => table,
-                        CpuSlot::Flat(_) => panic!("flat slot in a paged backend"),
-                    })
-                    .collect();
-                let mut batch = arena.batch_view(tables);
-                self.model
-                    .forward_runs_all_logits_with_kv(&mut batch, &tokens, &counts, &starts)
-            }
-        };
-        let mut out = Vec::with_capacity(runs.len());
-        let mut row = 0usize;
-        for &cnt in &counts {
-            out.push(logits[row * vocab..(row + cnt) * vocab].to_vec());
-            row += cnt;
-        }
-        (out, rows)
+        self.forward_runs(slots, runs, Logits::AllRows)
     }
 
     fn truncate_slot(slot: &mut Self::Slot, len: usize) -> Vec<BlockId> {
@@ -419,7 +328,7 @@ impl Backend for CpuBackend {
 }
 
 /// Accelerator-simulation backend: one [`Engine`] shared across sequences
-/// via [`Engine::prefill_chunk_seq`] and [`Engine::decode_batch`]. Costs
+/// via [`Engine::forward_runs`]. Costs
 /// are the simulated device cycles, so batching amortizes weight streams
 /// exactly as the device would.
 pub struct AccelBackend {
@@ -459,36 +368,20 @@ impl Backend for AccelBackend {
         self.engine.new_sequence()
     }
 
-    fn prefill(
-        &mut self,
-        slot: &mut Self::Slot,
-        tokens: &[u32],
-        start_pos: usize,
-    ) -> (Vec<f32>, u64) {
-        let step = self.engine.prefill_chunk_seq(slot, tokens, start_pos);
-        (step.logits, step.cycles.0)
-    }
-
-    fn decode(&mut self, slots: &mut [&mut Self::Slot], tokens: &[u32]) -> (Vec<Vec<f32>>, u64) {
-        let (logits, step) = self.engine.decode_batch(slots, tokens);
-        (logits, step.cycles.0)
-    }
-
     fn forward_mixed(
         &mut self,
         slots: &mut [&mut Self::Slot],
         runs: &[&[u32]],
     ) -> (Vec<Vec<f32>>, u64) {
-        let (logits, step) = self.engine.forward_mixed(slots, runs);
+        let (logits, step) = self.engine.forward_runs(slots, runs, Logits::LastRow);
         (logits, step.cycles.0)
     }
 
-    /// One verify tick through [`Engine::verify_batch`]: the cost is the
-    /// simulated cycles of the single mixed device pass, so the ~K×
-    /// weight-traffic cut per accepted run shows up directly in the
+    /// The cost is the simulated cycles of the single device pass, so the
+    /// ~K× weight-traffic cut per accepted run shows up directly in the
     /// report's tick totals.
     fn verify(&mut self, slots: &mut [&mut Self::Slot], runs: &[&[u32]]) -> (Vec<Vec<f32>>, u64) {
-        let (logits, step) = self.engine.verify_batch(slots, runs);
+        let (logits, step) = self.engine.forward_runs(slots, runs, Logits::AllRows);
         (logits, step.cycles.0)
     }
 
@@ -648,6 +541,27 @@ mod tests {
         let (pre, _) = oracle.prefill(&mut cold_o, &[3, 9, 14], 0);
         assert_eq!(got[0], dec[0], "decode member diverged in mixed tick");
         assert_eq!(got[1], pre, "prefill member diverged in mixed tick");
+    }
+
+    /// The provided `Backend::prefill` rejects a chunk that does not
+    /// start at the slot's context length, on both backends.
+    fn assert_rejects_position_gap<B: Backend>(mut backend: B) {
+        let mut slot = backend.new_slot();
+        let gap = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            backend.prefill(&mut slot, &[1, 2], 3);
+        }));
+        let err = gap.expect_err("a chunk past the context must panic");
+        let msg = err
+            .downcast_ref::<String>()
+            .expect("formatted panic message");
+        assert!(msg.contains("contiguously"), "{msg}");
+    }
+
+    #[test]
+    fn prefill_chunk_seq_rejects_position_gap() {
+        assert_rejects_position_gap(CpuBackend::new(Transformer::new(weights())));
+        let engine = Engine::new(Arc::new(weights()), OptConfig::full()).unwrap();
+        assert_rejects_position_gap(AccelBackend::new(engine));
     }
 
     #[test]

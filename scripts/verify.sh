@@ -286,7 +286,7 @@ for quant in f32 int8 int4; do
         --trace-out "$quant_dir/trace_$quant.json" > "$quant_dir/out_$quant.txt"
 done
 python3 - "$quant_dir" <<'EOF'
-import sys
+import json, sys
 def bytes_per_token(path):
     bytes_ = tokens = None
     for line in open(path):
@@ -303,6 +303,11 @@ i8 = bytes_per_token(f"{d}/out_int8.txt")
 i4 = bytes_per_token(f"{d}/out_int4.txt")
 assert i8 * 3 < f32, f"int8 stream not under 1/3 of f32: {i8} vs {f32}"
 assert i4 < i8, f"int4 stream not under int8: {i4} vs {i8}"
+# A prefill chunk is one run-based pass: no per-token `forward` span, and
+# no classifier row for a non-final prefill token (ROADMAP item 2).
+per_token = [e["name"] for e in json.load(open(f"{d}/trace_f32.json"))
+             if e.get("ph") == "X" and e.get("name") in ("forward", "classifier")]
+assert not per_token, f"trace_f32.json: {len(per_token)} per-token forward/classifier spans"
 print(f"weight stream/token OK: f32 {f32:.0f} B, int8 {i8:.0f} B ({f32/i8:.2f}x), int4 {i4:.0f} B ({f32/i4:.2f}x)")
 EOF
 # Perplexity-delta gate on stories15M: quantized CPU engines must track

@@ -210,7 +210,7 @@ props! {
     }
 
     /// Accelerator verifier (one mixed verify pass per round through
-    /// `Engine::verify_batch`), flat and paged sequences: same stream as
+    /// `Engine::forward_runs`), flat and paged sequences: same stream as
     /// the sequential CPU reference, and paged rollback keeps the free
     /// list conserved while releasing blocks through CoW refcounting.
     fn accel_speculative_matches_sequential_decode(
